@@ -165,11 +165,10 @@ impl McConfig {
         self.cycles
     }
 
-    /// The simulation lane width of the compiled prefilter kernel
+    /// The simulation lane width of the fused prefilter kernel
     /// (64, 128, 256 or 512 patterns per pass) — a view onto
     /// [`FilterConfig::lanes`], which is the single source of truth.
-    /// Defaults to 256; the CLI sets it via `--sim-lanes`, the
-    /// environment via `MCPATH_SIM_LANES`.
+    /// Defaults to 256; the CLI sets it via `--sim-lanes`.
     pub fn sim_lanes(&self) -> u32 {
         self.sim.lanes
     }
@@ -241,14 +240,8 @@ mod tests {
         }
         assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.scheduler, Scheduler::WorkSteal);
-        if std::env::var_os("MCPATH_SIM_LANES").is_none() {
-            assert_eq!(cfg.sim_lanes(), 256, "lane width defaults to 256");
-        }
-        if std::env::var_os("MCPATH_NO_TAPE").is_none() {
-            assert!(cfg.sim.tape, "tape kernel defaults to on");
-        } else {
-            assert!(!cfg.sim.tape, "MCPATH_NO_TAPE must disable the tape");
-        }
+        assert_eq!(cfg.sim_lanes(), 256, "lane width defaults to 256");
+        assert_eq!(cfg.sim.kernel, mcp_sim::SimKernel::Fused);
     }
 
     #[test]
@@ -264,8 +257,7 @@ mod tests {
         neutral.slice = !neutral.slice;
         neutral.lint = !neutral.lint;
         neutral.sim.lanes = 64;
-        neutral.sim.tape = !neutral.sim.tape;
-        // Every kernel tier computes the same outcome, so the tier must
+        // Both kernels compute the same outcome, so the kernel must
         // never invalidate cached verdicts.
         neutral.sim.kernel = mcp_sim::SimKernel::Reference;
         neutral.static_classify = !neutral.static_classify;

@@ -48,51 +48,6 @@ impl PairClass {
     }
 }
 
-/// The sim-kernel tier that actually ran the random-pattern prefilter —
-/// the post-fallback reality, recorded in [`StepStats::sim_kernel`] and
-/// the `stats` table. More specific than the configured
-/// `--sim-kernel`: a jit request on a non-x86-64 host lands on `Fused`,
-/// and a successful jit records which emitter fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SimKernelTier {
-    /// Native code from the AVX2 emitter.
-    JitAvx2,
-    /// Native code from the scalar-`u64` emitter.
-    JitScalar,
-    /// The fused-tape interpreter.
-    Fused,
-    /// The unfused tape interpreter.
-    Tape,
-    /// The graph-walking 64-lane reference simulator.
-    Reference,
-}
-
-impl SimKernelTier {
-    /// Maps a `FilterStats::kernel` tag to the tier, `None` for an
-    /// unrecognized tag (future tiers in old binaries).
-    pub fn from_tag(tag: &str) -> Option<SimKernelTier> {
-        match tag {
-            "jit-avx2" => Some(SimKernelTier::JitAvx2),
-            "jit-scalar" => Some(SimKernelTier::JitScalar),
-            "fused" => Some(SimKernelTier::Fused),
-            "tape" => Some(SimKernelTier::Tape),
-            "reference" => Some(SimKernelTier::Reference),
-            _ => None,
-        }
-    }
-
-    /// The canonical tag, inverse of [`from_tag`](Self::from_tag).
-    pub fn tag(self) -> &'static str {
-        match self {
-            SimKernelTier::JitAvx2 => "jit-avx2",
-            SimKernelTier::JitScalar => "jit-scalar",
-            SimKernelTier::Fused => "fused",
-            SimKernelTier::Tape => "tape",
-            SimKernelTier::Reference => "reference",
-        }
-    }
-}
-
 /// One classified pair: FF indices plus verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PairResult {
@@ -106,7 +61,7 @@ pub struct PairResult {
 
 /// Counters for the paper's Table 2: pairs resolved and time spent per
 /// step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepStats {
     /// Topologically connected pairs (Table 1 `FF-pair`).
     pub candidates: usize,
@@ -129,12 +84,15 @@ pub struct StepStats {
     pub unknown: usize,
     /// 64-pattern words simulated by the prefilter.
     pub sim_words: u64,
-    /// Kernel tier that ran the prefilter, `None` when the sim filter
-    /// was off (or in reports from before the tier ladder existed).
-    /// Host-dependent (the jit tier falls back per host), so
-    /// [`McReport::canonical`] clears it.
+    /// Tag of the kernel that ran the prefilter (`fused` or
+    /// `reference`, as in the ledger's `kernel` field), `None` when the
+    /// sim filter was off (or in reports from before kernels were
+    /// tagged). A free-form string, so reports saved by older builds
+    /// with since-deleted kernels (`JitAvx2`, `Tape`, ...) still load. A
+    /// flag fact, not a circuit fact, so [`McReport::canonical`] clears
+    /// it.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sim_kernel: Option<SimKernelTier>,
+    pub sim_kernel: Option<String>,
     /// Wall-clock spent in the static dataflow pre-pass.
     #[serde(default)]
     pub time_static: Duration,
@@ -225,8 +183,7 @@ impl McReport {
         r.stats.time_pairs = Duration::ZERO;
         r.stats.time_total = Duration::ZERO;
         r.stats.sim_words = 0;
-        // The tier is a host/flag fact, not a circuit fact: the same
-        // run jits on one machine and falls back to `fused` on another.
+        // The kernel is a flag fact, not a circuit fact.
         r.stats.sim_kernel = None;
         r.stats.multi_by_atpg = r.stats.multi_total();
         r.stats.multi_by_static = 0;
@@ -365,11 +322,8 @@ mod tests {
         r.metrics.counters.static_resolved = 2;
         r.metrics.counters.lint_rules_run = 4;
         r.metrics.counters.sim_fused_ops = 11;
-        r.metrics.counters.jit_compiles = 1;
-        r.metrics.counters.jit_bytes = 640;
-        r.metrics.counters.jit_batches = 6;
         r.stats.sim_words = 9;
-        r.stats.sim_kernel = Some(SimKernelTier::JitAvx2);
+        r.stats.sim_kernel = Some("fused".to_owned());
         r.stats.multi_by_implication = 1;
         r.stats.multi_by_static = 2;
         let c = r.canonical();
@@ -383,13 +337,10 @@ mod tests {
         assert_eq!(c.metrics.counters.sim_words, 0);
         assert_eq!(c.metrics.counters.static_resolved, 0);
         assert_eq!(c.stats.sim_words, 0);
-        // The kernel tier and its effort counters are host facts (the
-        // jit falls back per host): projected out.
+        // The kernel and its effort counters are flag facts: projected
+        // out.
         assert_eq!(c.stats.sim_kernel, None);
         assert_eq!(c.metrics.counters.sim_fused_ops, 0);
-        assert_eq!(c.metrics.counters.jit_compiles, 0);
-        assert_eq!(c.metrics.counters.jit_bytes, 0);
-        assert_eq!(c.metrics.counters.jit_batches, 0);
         // Multi attribution folds into one bucket; the verdict survives.
         assert_eq!(c.stats.multi_by_atpg, 3);
         assert_eq!(c.stats.multi_by_static, 0);

@@ -27,7 +27,7 @@
 //! is what guarantees the planners can never drift from the run.
 
 use crate::config::McConfig;
-use crate::report::{PairClass, PairResult, SimKernelTier, Step, StepStats};
+use crate::report::{PairClass, PairResult, Step, StepStats};
 use mcp_netlist::{Expanded, Netlist, XId};
 use mcp_obs::{ObsCtx, PairEvent};
 use mcp_sim::mc_filter_stats_seeded;
@@ -355,23 +355,18 @@ pub(crate) fn run_prefilters(
         let consts = base_consts.as_deref().unwrap_or(&[]);
         let (out, sim_stats) = mc_filter_stats_seeded(netlist, &candidates, &cfg.sim, consts);
         stats.time_sim = t_sim.stop();
-        // Re-record the sim time under the kernel tier that actually ran
-        // (known only after the filter returns): per-tier children of
-        // `analyze/sim` are what `sim_words_per_sec` attributes against,
-        // so warm/static-heavy phases that never simulate don't deflate
-        // the rate.
+        // Re-record the sim time under the kernel that ran: per-kernel
+        // children of `analyze/sim` are what `sim_words_per_sec`
+        // attributes against, so warm/static-heavy phases that never
+        // simulate don't deflate the rate.
         obs.timers
             .add(&format!("analyze/sim/{}", sim_stats.kernel), stats.time_sim);
         stats.sim_words = out.words_simulated;
-        stats.sim_kernel = SimKernelTier::from_tag(sim_stats.kernel);
+        stats.sim_kernel = Some(sim_stats.kernel.to_owned());
         obs.metrics.sim_words.add(out.words_simulated);
         obs.metrics.sim_pairs_dropped.add(out.dropped() as u64);
         obs.metrics.sim_passes.add(sim_stats.passes);
-        obs.metrics.sim_tape_ops.add(sim_stats.tape_ops);
         obs.metrics.sim_fused_ops.add(sim_stats.fused_ops);
-        obs.metrics.jit_compiles.add(sim_stats.jit_compiles);
-        obs.metrics.jit_bytes.add(sim_stats.jit_bytes);
-        obs.metrics.jit_batches.add(sim_stats.jit_batches);
         for d in &out.drops {
             results.push(PairResult {
                 src: d.src,
@@ -619,9 +614,9 @@ mod tests {
             config_slice(STAGE_PREFILTERED, &seed)
         );
         // Verdict-neutral knobs never enter any stage key. The kernel
-        // tier in particular: every tier computes the same outcome, so
-        // switching `--sim-kernel` (or losing the jit to a host
-        // fallback) must not invalidate cached prefilter artifacts.
+        // in particular: both kernels compute the same outcome, so
+        // switching `--sim-kernel` must not invalidate cached prefilter
+        // artifacts.
         let mut neutral = base.clone();
         neutral.threads = 8;
         neutral.slice = !neutral.slice;

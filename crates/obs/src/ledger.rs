@@ -192,8 +192,9 @@ pub struct PairEvent {
     /// work for them.
     #[serde(default, skip_serializing_if = "is_false")]
     pub cached: bool,
-    /// For `random_sim` drops: which kernel tier simulated the witness
-    /// (`jit-avx2`, `jit-scalar`, `fused`, `tape`, `reference`). `None`
+    /// For `random_sim` drops: which kernel simulated the witness
+    /// (`fused` or `reference`; ledgers from older builds may also carry
+    /// `jit-avx2`, `jit-scalar` or `tape`). `None`
     /// for every other step — cached splices and static-resolved pairs
     /// simulate zero words, and tagging only real sim work is what lets
     /// per-tier throughput attribution exclude them.

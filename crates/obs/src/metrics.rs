@@ -71,25 +71,14 @@ pub struct Metrics {
     pub sim_words: Counter,
     /// Random simulation: candidate pairs dropped by the prefilter.
     pub sim_pairs_dropped: Counter,
-    /// Random simulation: wide evaluation passes of the compiled tape
-    /// kernel (each pass covers `lanes / 64` words). Zero when the
-    /// prefilter ran on the graph-walking reference path.
+    /// Random simulation: wide evaluation passes of the fused kernel
+    /// (each pass covers `lanes / 64` words). Zero when the prefilter
+    /// ran on the graph-walking reference path.
     pub sim_passes: Counter,
-    /// Random simulation: tape instructions executed by the compiled
-    /// kernel (instructions per eval × evals). Zero on the reference
-    /// path.
-    pub sim_tape_ops: Counter,
     /// Random simulation: fused instructions executed (after NOT fusion
-    /// and dead-slot elimination). Moves on the `fused` and `jit` kernel
-    /// tiers only.
+    /// and dead-slot elimination; instructions per eval × evals). Zero
+    /// on the reference path.
     pub sim_fused_ops: Counter,
-    /// JIT kernel: native-code compilations performed (one per filter
-    /// run that landed on the jit tier).
-    pub jit_compiles: Counter,
-    /// JIT kernel: bytes of machine code emitted.
-    pub jit_bytes: Counter,
-    /// JIT kernel: calls into jitted code (two per wide pass).
-    pub jit_batches: Counter,
     /// Lint: rules executed over netlists.
     pub lint_rules_run: Counter,
     /// Lint: diagnostics (violations) reported by executed rules.
@@ -173,11 +162,7 @@ impl Metrics {
             sim_words: self.sim_words.get(),
             sim_pairs_dropped: self.sim_pairs_dropped.get(),
             sim_passes: self.sim_passes.get(),
-            sim_tape_ops: self.sim_tape_ops.get(),
             sim_fused_ops: self.sim_fused_ops.get(),
-            jit_compiles: self.jit_compiles.get(),
-            jit_bytes: self.jit_bytes.get(),
-            jit_batches: self.jit_batches.get(),
             lint_rules_run: self.lint_rules_run.get(),
             lint_violations: self.lint_violations.get(),
             lint_nodes_visited: self.lint_nodes_visited.get(),
@@ -227,21 +212,13 @@ pub struct Counters {
     pub bdd_cache_hits: u64,
     pub sim_words: u64,
     pub sim_pairs_dropped: u64,
-    // Tape-kernel counters arrived after the first report format;
-    // `default` keeps old saved reports parseable.
+    // Kernel counters arrived after the first report format; `default`
+    // keeps old saved reports parseable (and the counters of deleted
+    // kernels in them are ignored).
     #[serde(default)]
     pub sim_passes: u64,
     #[serde(default)]
-    pub sim_tape_ops: u64,
-    // JIT/fused-kernel counters arrived with the native-code tier.
-    #[serde(default)]
     pub sim_fused_ops: u64,
-    #[serde(default)]
-    pub jit_compiles: u64,
-    #[serde(default)]
-    pub jit_bytes: u64,
-    #[serde(default)]
-    pub jit_batches: u64,
     pub lint_rules_run: u64,
     pub lint_violations: u64,
     // Dataflow-analysis counters arrived with the static pre-pass;
@@ -332,8 +309,8 @@ impl MetricsSnapshot {
     /// second, or 0.0 when no sim time was recorded. Wall-clock-derived,
     /// so (unlike the counters) not deterministic across runs.
     ///
-    /// Attribution is **per kernel tier**: when kernel-tagged child
-    /// spans (`analyze/sim/<tier>`, e.g. `analyze/sim/jit-avx2`) exist,
+    /// Attribution is **per kernel**: when kernel-tagged child spans
+    /// (`analyze/sim/<kernel>`, e.g. `analyze/sim/fused`) exist,
     /// their summed time is the denominator — the parent `analyze/sim`
     /// span also covers tape/lowering compilation and pair grouping, and
     /// on warm-cache or static-resolved runs it accrues time with *zero*
@@ -361,8 +338,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The kernel-tier tags that recorded sim time, in span order —
-    /// e.g. `["jit-avx2"]`. Empty for pre-tag snapshots.
+    /// The kernel tags that recorded sim time, in span order — e.g.
+    /// `["fused"]`. Empty for pre-tag snapshots.
     pub fn sim_kernel_tags(&self) -> Vec<&str> {
         self.spans
             .keys()

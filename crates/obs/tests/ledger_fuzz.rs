@@ -34,7 +34,7 @@ fn event(src: usize, dst: usize, resolved: bool) -> PairEvent {
         resumed: false,
         static_pass: false,
         cached: false,
-        kernel: (!resolved).then(|| "tape".to_owned()),
+        kernel: (!resolved).then(|| "fused".to_owned()),
     }
 }
 

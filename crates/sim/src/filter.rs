@@ -1,25 +1,16 @@
 //! Random-pattern filtering of single-cycle FF pairs (paper step 2).
 //!
-//! Four interchangeable kernel tiers compute the **same**
-//! [`FilterOutcome`] — the ladder, fastest first:
+//! Two interchangeable kernels compute the **same** [`FilterOutcome`]:
 //!
-//! * **jit** (default) — the fused tape compiled to native x86-64 by
-//!   [`JitKernel`](crate::JitKernel) (AVX2 when the host has it, scalar
-//!   `u64` otherwise); falls back to the fused interpreter when the
-//!   host can't run native code.
-//! * **fused** — the NOT-fused, dead-slot-eliminated
-//!   [`FusedTape`] interpreted by
-//!   [`FusedSim`].
-//! * **tape** — the PR-5 compiled [`Tape`] interpreted by [`TapeSim`].
+//! * **fused** (default) — the netlist compiled to a [`Tape`], lowered
+//!   to a NOT-fused, dead-slot-eliminated [`FusedTape`], and run by the
+//!   wide-word interpreter [`FusedSim`], `64 × W` patterns per pass.
 //! * **reference** — the original graph-walking [`ParallelSim`] loop,
-//!   one 64-lane word per pass.
+//!   one 64-lane word per pass. It is the oracle the fused kernel is
+//!   checked against in `tests/kernel_diff.rs`.
 //!
-//! [`FilterConfig::kernel`] (CLI `--sim-kernel`, env `MCPATH_NO_JIT`)
-//! selects the tier; `--no-tape` still forces the reference path. All
-//! wide tiers share one generic batch/replay loop (`KernelExec`), so
-//! the determinism contract below holds per construction, and each tier
-//! is differentially oracled against the tiers below it in
-//! `tests/jit_diff.rs` / `tests/tape_diff.rs`.
+//! [`FilterConfig::kernel`] (CLI `--sim-kernel`) selects the kernel and
+//! [`FilterConfig::lanes`] (CLI `--sim-lanes`) the fused kernel's width.
 //!
 //! ## Lane-width determinism contract
 //!
@@ -29,45 +20,35 @@
 //! *replays* the batch word by word under the reference stop condition.
 //! Drops, witness word indices, survivor order, `words_simulated`, and
 //! `ff_toggles` are therefore byte-identical to the 64-lane reference
-//! for the same seed at every supported lane width **and every kernel
-//! tier** — RNG words drawn past the stop point are simply never
-//! observed.
+//! for the same seed at every supported lane width — RNG words drawn
+//! past the stop point are simply never observed.
 
-use crate::lower::FusedTape;
-use crate::{FusedSim, JitSim, ParallelSim, Tape, TapeSim};
+use crate::{FusedSim, FusedTape, ParallelSim, Tape};
 use mcp_logic::V3;
 use mcp_netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Lane widths the compiled kernels support (one to eight 64-bit words).
+/// Lane widths the fused kernel supports (one to eight 64-bit words).
 pub const SUPPORTED_LANES: [u32; 4] = [64, 128, 256, 512];
 
-/// Which execution tier runs the random-pattern filter.
+/// Which kernel runs the random-pattern filter.
 ///
-/// Every tier produces a byte-identical [`FilterOutcome`]; they differ
-/// only in speed and in which [`FilterStats`] counters move.
+/// Both produce a byte-identical [`FilterOutcome`]; they differ only in
+/// speed and in which [`FilterStats`] counters move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimKernel {
-    /// Native machine code over the fused tape (falls back to `Fused`
-    /// on hosts the emitter does not target).
-    Jit,
-    /// The fused-tape interpreter.
+    /// The fused-tape interpreter, the production kernel.
     Fused,
-    /// The unfused tape interpreter (the PR-5 kernel).
-    Tape,
-    /// The graph-walking 64-lane reference simulator.
+    /// The graph-walking 64-lane reference simulator, the oracle.
     Reference,
 }
 
 impl SimKernel {
-    /// Parses a CLI/config spelling (`jit`, `fused`, `tape`,
-    /// `reference`).
+    /// Parses a CLI/config spelling (`fused`, `reference`).
     pub fn parse(s: &str) -> Option<SimKernel> {
         match s {
-            "jit" => Some(SimKernel::Jit),
             "fused" => Some(SimKernel::Fused),
-            "tape" => Some(SimKernel::Tape),
             "reference" => Some(SimKernel::Reference),
             _ => None,
         }
@@ -76,9 +57,7 @@ impl SimKernel {
     /// The canonical spelling, inverse of [`parse`](Self::parse).
     pub fn as_str(self) -> &'static str {
         match self {
-            SimKernel::Jit => "jit",
             SimKernel::Fused => "fused",
-            SimKernel::Tape => "tape",
             SimKernel::Reference => "reference",
         }
     }
@@ -96,35 +75,18 @@ pub struct FilterConfig {
     pub idle_words: u32,
     /// Hard cap on simulated words, a safety net for degenerate circuits.
     pub max_words: u64,
-    /// Simulation lanes per pass of the compiled kernel: one of
-    /// [`SUPPORTED_LANES`] (64, 128, 256 or 512 — i.e. 1, 2, 4 or 8
-    /// `u64` words). The outcome is identical at every width; wider
-    /// lanes amortize per-instruction overhead over more patterns.
-    /// Defaults to 256, overridable via the `MCPATH_SIM_LANES`
-    /// environment variable. Invalid values are rejected by
+    /// Simulation lanes per pass of the fused kernel (CLI
+    /// `--sim-lanes`): one of [`SUPPORTED_LANES`] (64, 128, 256 or 512 —
+    /// i.e. 1, 2, 4 or 8 `u64` words). The outcome is identical at every
+    /// width; wider lanes amortize per-instruction overhead over more
+    /// patterns. Defaults to 256. Invalid values are rejected by
     /// `analyze` with `AnalyzeError::InvalidSimLanes`.
     pub lanes: u32,
-    /// Run on a compiled kernel (default) rather than the graph-walking
-    /// reference simulator. Defaults to `true`, or `false` when the
-    /// `MCPATH_NO_TAPE` environment variable is set; the CLI exposes it
-    /// as `--no-tape`. `false` overrides [`kernel`](Self::kernel).
-    pub tape: bool,
-    /// Which kernel tier to run (CLI `--sim-kernel`). Defaults to
-    /// [`SimKernel::Jit`], or [`SimKernel::Fused`] when the
-    /// `MCPATH_NO_JIT` environment variable is set (CLI `--no-jit`).
-    /// **Verdict-neutral**: every tier computes the same outcome, so
-    /// this field is deliberately excluded from `McConfig::fingerprint`
-    /// and the cache key slice.
+    /// Which kernel to run (CLI `--sim-kernel`). Defaults to
+    /// [`SimKernel::Fused`]. **Verdict-neutral**: both kernels compute
+    /// the same outcome, so this field is deliberately excluded from
+    /// `McConfig::fingerprint` and the cache key slice.
     pub kernel: SimKernel,
-}
-
-fn default_lanes() -> u32 {
-    match std::env::var("MCPATH_SIM_LANES") {
-        Err(_) => 256,
-        // An unparseable override becomes 0, which `lane_words` maps to
-        // `None` and `analyze` rejects with a clear error.
-        Ok(s) => s.trim().parse().unwrap_or(0),
-    }
 }
 
 impl Default for FilterConfig {
@@ -133,13 +95,8 @@ impl Default for FilterConfig {
             seed: 0x5eed_cafe,
             idle_words: 128,
             max_words: 1 << 16,
-            lanes: default_lanes(),
-            tape: std::env::var_os("MCPATH_NO_TAPE").is_none(),
-            kernel: if std::env::var_os("MCPATH_NO_JIT").is_some() {
-                SimKernel::Fused
-            } else {
-                SimKernel::Jit
-            },
+            lanes: 256,
+            kernel: SimKernel::Fused,
         }
     }
 }
@@ -154,17 +111,6 @@ impl FilterConfig {
             256 => Some(4),
             512 => Some(8),
             _ => None,
-        }
-    }
-
-    /// The tier that will actually run: [`kernel`](Self::kernel) unless
-    /// [`tape`](Self::tape) is off, which forces the reference path
-    /// (preserving the PR-5 `--no-tape` contract).
-    pub fn effective_kernel(&self) -> SimKernel {
-        if self.tape {
-            self.kernel
-        } else {
-            SimKernel::Reference
         }
     }
 }
@@ -209,7 +155,7 @@ impl FilterOutcome {
 
 /// Execution-cost counters of one filter run. Deliberately **not** part
 /// of [`FilterOutcome`]: the outcome is pinned byte-identical across
-/// lane widths and kernel tiers, while these counters describe how the
+/// lane widths and kernels, while these counters describe how the
 /// kernel got there (they vary with `lanes`/`kernel` and are zero on
 /// the reference path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,21 +163,10 @@ pub struct FilterStats {
     /// Wide evaluation passes of the kernel (each pass simulates up to
     /// `lanes / 64` words, two clock cycles each).
     pub passes: u64,
-    /// Unfused tape instructions executed (instructions per eval ×
-    /// evals). Moves only on the `tape` tier.
-    pub tape_ops: u64,
     /// Fused instructions executed (after NOT fusion and dead-slot
-    /// elimination). Moves on the `fused` and `jit` tiers.
+    /// elimination).
     pub fused_ops: u64,
-    /// Native-code compilations performed (0 or 1 per filter run).
-    pub jit_compiles: u64,
-    /// Bytes of machine code emitted by the JIT.
-    pub jit_bytes: u64,
-    /// Calls into the jitted kernel (two per pass: one per clock cycle).
-    pub jit_batches: u64,
-    /// Which tier actually ran: `"jit-avx2"`, `"jit-scalar"`, `"fused"`,
-    /// `"tape"` or `"reference"`. More specific than
-    /// [`FilterConfig::kernel`] — it records the post-fallback reality.
+    /// Which kernel ran: `"fused"` or `"reference"`.
     pub kernel: &'static str,
 }
 
@@ -239,12 +174,8 @@ impl Default for FilterStats {
     fn default() -> Self {
         FilterStats {
             passes: 0,
-            tape_ops: 0,
             fused_ops: 0,
-            jit_compiles: 0,
-            jit_bytes: 0,
-            jit_batches: 0,
-            // The zero-work tier: matches what the reference path
+            // The zero-work kernel: matches what the reference path
             // reports, so `stats == FilterStats::default()` still reads
             // "the kernel did nothing".
             kernel: "reference",
@@ -272,10 +203,10 @@ impl Default for FilterStats {
 ///
 /// # Panics
 ///
-/// Panics if a pair names an FF index out of range, or if `cfg.tape` is
-/// set and `cfg.lanes` is not one of [`SUPPORTED_LANES`] (the pipeline
-/// validates lanes up front and reports `AnalyzeError::InvalidSimLanes`
-/// instead).
+/// Panics if a pair names an FF index out of range, or if the fused
+/// kernel is selected and `cfg.lanes` is not one of [`SUPPORTED_LANES`]
+/// (the pipeline validates lanes up front and reports
+/// `AnalyzeError::InvalidSimLanes` instead).
 pub fn mc_filter(netlist: &Netlist, pairs: &[(usize, usize)], cfg: &FilterConfig) -> FilterOutcome {
     mc_filter_stats(netlist, pairs, cfg).0
 }
@@ -301,7 +232,7 @@ pub fn mc_filter_stats(
 /// [`FilterOutcome`] is identical to the unseeded run — a sound seed
 /// holds under every stimulus, so no lane can observe a difference —
 /// only the op counters shrink. The reference path ignores the seed (it
-/// exists precisely to pin the compiled kernels' behavior). An empty
+/// exists precisely to pin the fused kernel's behavior). An empty
 /// slice is the plain unseeded filter.
 ///
 /// # Panics
@@ -318,7 +249,7 @@ pub fn mc_filter_stats_seeded(
     for &(i, j) in pairs {
         assert!(i < nffs && j < nffs, "FF index out of range in pair list");
     }
-    if cfg.effective_kernel() == SimKernel::Reference {
+    if cfg.kernel == SimKernel::Reference {
         return (
             mc_filter_reference(netlist, pairs, cfg),
             FilterStats::default(),
@@ -338,8 +269,7 @@ pub fn mc_filter_stats_seeded(
 
 /// The original graph-walking loop over [`ParallelSim`], one 64-lane
 /// word per pass. Kept verbatim as the differential reference for the
-/// compiled tiers (and reachable via `--no-tape` / `MCPATH_NO_TAPE` /
-/// `--sim-kernel reference`).
+/// fused kernel (and reachable via `--sim-kernel reference`).
 fn mc_filter_reference(
     netlist: &Netlist,
     pairs: &[(usize, usize)],
@@ -408,88 +338,6 @@ fn mc_filter_reference(
     }
 }
 
-/// The uniform surface the wide kernel tiers expose to the shared
-/// batch/replay loop. One implementation per tier keeps the loop — and
-/// therefore the determinism contract — literally identical across
-/// tiers.
-trait KernelExec<const W: usize> {
-    /// Sets the `64 × W` lanes of primary input `pi`.
-    fn set_input(&mut self, pi: usize, words: [u64; W]);
-    /// Sets the `64 × W` lanes of FF `ff`'s state.
-    fn set_state(&mut self, ff: usize, words: [u64; W]);
-    /// Evaluates the combinational logic for the current inputs/state.
-    fn eval(&mut self);
-    /// Latches every FF's D input (positive clock edge).
-    fn clock(&mut self);
-    /// FF `ff`'s D-input value from the most recent `eval`.
-    fn next_state(&self, ff: usize) -> [u64; W];
-    /// Instructions executed per `eval`, for the op counters.
-    fn ops_per_eval(&self) -> u64;
-}
-
-impl<const W: usize> KernelExec<W> for TapeSim<'_, W> {
-    fn set_input(&mut self, pi: usize, words: [u64; W]) {
-        TapeSim::set_input(self, pi, words);
-    }
-    fn set_state(&mut self, ff: usize, words: [u64; W]) {
-        TapeSim::set_state(self, ff, words);
-    }
-    fn eval(&mut self) {
-        TapeSim::eval(self);
-    }
-    fn clock(&mut self) {
-        TapeSim::clock(self);
-    }
-    fn next_state(&self, ff: usize) -> [u64; W] {
-        TapeSim::next_state(self, ff)
-    }
-    fn ops_per_eval(&self) -> u64 {
-        self.tape().num_ops() as u64
-    }
-}
-
-impl<const W: usize> KernelExec<W> for FusedSim<'_, W> {
-    fn set_input(&mut self, pi: usize, words: [u64; W]) {
-        FusedSim::set_input(self, pi, words);
-    }
-    fn set_state(&mut self, ff: usize, words: [u64; W]) {
-        FusedSim::set_state(self, ff, words);
-    }
-    fn eval(&mut self) {
-        FusedSim::eval(self);
-    }
-    fn clock(&mut self) {
-        FusedSim::clock(self);
-    }
-    fn next_state(&self, ff: usize) -> [u64; W] {
-        FusedSim::next_state(self, ff)
-    }
-    fn ops_per_eval(&self) -> u64 {
-        self.fused().num_ops() as u64
-    }
-}
-
-impl<const W: usize> KernelExec<W> for JitSim<'_, W> {
-    fn set_input(&mut self, pi: usize, words: [u64; W]) {
-        JitSim::set_input(self, pi, words);
-    }
-    fn set_state(&mut self, ff: usize, words: [u64; W]) {
-        JitSim::set_state(self, ff, words);
-    }
-    fn eval(&mut self) {
-        JitSim::eval(self);
-    }
-    fn clock(&mut self) {
-        JitSim::clock(self);
-    }
-    fn next_state(&self, ff: usize) -> [u64; W] {
-        JitSim::next_state(self, ff)
-    }
-    fn ops_per_eval(&self) -> u64 {
-        self.fused().num_ops() as u64
-    }
-}
-
 /// Alive pairs sharing one source FF. A word in which the source never
 /// toggled between `t` and `t+1` cannot violate any pair of the group —
 /// the whole group is skipped with one word compare.
@@ -500,87 +348,36 @@ struct SourceGroup {
     pairs: Vec<(usize, usize)>,
 }
 
-/// Tier selection for one wide filter run: compile the tape, lower it,
-/// try the configured tier (jit falls back to fused when the host can't
-/// run native code), then hand the chosen kernel to the shared loop and
-/// tag the stats.
+/// One fused-kernel filter run: compile the tape, lower it, and hand
+/// the kernel to the batch/replay loop.
 fn mc_filter_wide<const W: usize>(
     netlist: &Netlist,
     pairs: &[(usize, usize)],
     cfg: &FilterConfig,
     consts: &[V3],
 ) -> (FilterOutcome, FilterStats) {
-    let tape = Tape::compile_with_consts(netlist, consts);
-    match cfg.effective_kernel() {
-        SimKernel::Reference => unreachable!("dispatched before lane selection"),
-        SimKernel::Tape => {
-            let mut sim = TapeSim::<W>::new(&tape);
-            let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-            let stats = FilterStats {
-                passes,
-                tape_ops: ops,
-                kernel: "tape",
-                ..FilterStats::default()
-            };
-            (out, stats)
-        }
-        SimKernel::Fused => {
-            let fused = FusedTape::lower(&tape);
-            let mut sim = FusedSim::<W>::new(&fused);
-            let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-            let stats = FilterStats {
-                passes,
-                fused_ops: ops,
-                kernel: "fused",
-                ..FilterStats::default()
-            };
-            (out, stats)
-        }
-        SimKernel::Jit => {
-            let fused = FusedTape::lower(&tape);
-            match JitSim::<W>::new(&fused) {
-                Some(mut sim) => {
-                    let jit_bytes = sim.kernel().code_bytes() as u64;
-                    let tag = sim.kernel().tag();
-                    let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-                    let stats = FilterStats {
-                        passes,
-                        fused_ops: ops,
-                        jit_compiles: 1,
-                        jit_bytes,
-                        jit_batches: 2 * passes,
-                        kernel: tag,
-                        ..FilterStats::default()
-                    };
-                    (out, stats)
-                }
-                // Host can't run native code: fused interpreter tier.
-                None => {
-                    let mut sim = FusedSim::<W>::new(&fused);
-                    let (out, passes, ops) = filter_batch(&mut sim, netlist, pairs, cfg);
-                    let stats = FilterStats {
-                        passes,
-                        fused_ops: ops,
-                        kernel: "fused",
-                        ..FilterStats::default()
-                    };
-                    (out, stats)
-                }
-            }
-        }
-    }
+    let fused = FusedTape::lower(&Tape::compile_with_consts(netlist, consts));
+    let mut sim = FusedSim::<W>::new(&fused);
+    let (out, passes) = filter_batch(&mut sim, netlist, pairs, cfg);
+    let stats = FilterStats {
+        passes,
+        // Two evals (clock cycles) per pass.
+        fused_ops: 2 * passes * fused.num_ops() as u64,
+        kernel: "fused",
+    };
+    (out, stats)
 }
 
-/// The shared wide path: simulate `W` words per pass on the given
+/// The batch/replay loop: simulate `W` words per pass on the fused
 /// kernel, then replay the batch word by word under the reference stop
-/// condition. Returns the outcome plus `(passes, ops_executed)`. See
-/// the module docs for the determinism contract.
-fn filter_batch<const W: usize, K: KernelExec<W>>(
-    sim: &mut K,
+/// condition. Returns the outcome plus the number of passes. See the
+/// module docs for the determinism contract.
+fn filter_batch<const W: usize>(
+    sim: &mut FusedSim<'_, W>,
     netlist: &Netlist,
     pairs: &[(usize, usize)],
     cfg: &FilterConfig,
-) -> (FilterOutcome, u64, u64) {
+) -> (FilterOutcome, u64) {
     let nffs = netlist.num_ffs();
     let npis = netlist.num_inputs();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -615,7 +412,6 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
     let mut drops: Vec<PairDrop> = Vec::new();
     let mut ff_toggles = vec![0u64; nffs];
     let mut passes = 0u64;
-    let mut ops = 0u64;
     // Per-word drop candidates, re-sorted into input order before being
     // appended so drop order matches the reference exactly.
     let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
@@ -653,7 +449,6 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
             *s = sim.next_state(k);
         }
         passes += 1;
-        ops += 2 * sim.ops_per_eval();
 
         // Replay the batch word by word under the reference stop
         // condition; words past the stop point are never observed.
@@ -712,7 +507,6 @@ fn filter_batch<const W: usize, K: KernelExec<W>>(
             ff_toggles,
         },
         passes,
-        ops,
     )
 }
 
@@ -742,17 +536,6 @@ mod tests {
     fn cfg_with_lanes(lanes: u32) -> FilterConfig {
         FilterConfig {
             lanes,
-            tape: true,
-            kernel: SimKernel::Tape,
-            ..FilterConfig::default()
-        }
-    }
-
-    fn cfg_with_kernel(kernel: SimKernel) -> FilterConfig {
-        FilterConfig {
-            tape: true,
-            kernel,
-            lanes: 256,
             ..FilterConfig::default()
         }
     }
@@ -822,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn tape_outcome_is_byte_identical_to_reference_at_every_width() {
+    fn fused_outcome_is_byte_identical_to_reference_at_every_width() {
         let nl = mixed();
         let pairs = nl.connected_ff_pairs();
         let reference = mc_filter_reference(&nl, &pairs, &FilterConfig::default());
@@ -833,112 +616,35 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_tier_is_byte_identical_to_reference_at_every_width() {
-        let nl = mixed();
-        let pairs = nl.connected_ff_pairs();
-        let reference = mc_filter_reference(&nl, &pairs, &FilterConfig::default());
-        for kernel in [SimKernel::Jit, SimKernel::Fused, SimKernel::Tape] {
-            for lanes in SUPPORTED_LANES {
-                let cfg = FilterConfig {
-                    lanes,
-                    ..cfg_with_kernel(kernel)
-                };
-                let out = mc_filter(&nl, &pairs, &cfg);
-                assert_eq!(out, reference, "kernel {kernel:?} lanes {lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn tape_stats_count_passes_and_ops() {
+    fn fused_stats_count_passes_and_ops() {
         let nl = mixed();
         let pairs = nl.connected_ff_pairs();
         let (out, stats) = mc_filter_stats(&nl, &pairs, &cfg_with_lanes(256));
         assert!(stats.passes > 0);
-        assert_eq!(stats.kernel, "tape");
+        assert_eq!(stats.kernel, "fused");
         // 4 words per pass: the word count never exceeds 4 × passes.
         assert!(out.words_simulated <= 4 * stats.passes);
         assert!(out.words_simulated > 4 * (stats.passes - 1));
-        // mixed() compiles to zero tape instructions (all BUFs alias), so
-        // tape_ops stays zero here; the invariant is ops = 2·passes·num_ops.
-        assert_eq!(stats.tape_ops % 2, 0);
-        assert_eq!(stats.fused_ops, 0, "tape tier moves tape_ops only");
-        assert_eq!(stats.jit_compiles, 0);
+        // mixed() lowers to zero instructions (all BUFs alias), so
+        // fused_ops stays zero here; the invariant is ops = 2·passes·num_ops.
+        assert_eq!(stats.fused_ops % 2, 0);
         // The reference path reports zero kernel stats.
-        let no_tape = FilterConfig {
-            tape: false,
+        let reference = FilterConfig {
+            kernel: SimKernel::Reference,
             ..FilterConfig::default()
         };
-        let (ref_out, ref_stats) = mc_filter_stats(&nl, &pairs, &no_tape);
+        let (ref_out, ref_stats) = mc_filter_stats(&nl, &pairs, &reference);
         assert_eq!(ref_stats, FilterStats::default());
         assert_eq!(ref_out, out);
     }
 
     #[test]
-    fn jit_tier_reports_compile_and_batch_stats() {
-        let nl = mixed();
-        let pairs = nl.connected_ff_pairs();
-        let (out, stats) = mc_filter_stats(&nl, &pairs, &cfg_with_kernel(SimKernel::Jit));
-        if stats.kernel.starts_with("jit-") {
-            assert_eq!(stats.jit_compiles, 1);
-            assert!(stats.jit_bytes > 0);
-            assert_eq!(stats.jit_batches, 2 * stats.passes);
-        } else {
-            // Non-native host: the fallback ladder lands on `fused`.
-            assert_eq!(stats.kernel, "fused");
-            assert_eq!(stats.jit_compiles, 0);
-        }
-        assert_eq!(stats.tape_ops, 0, "jit/fused tiers never move tape_ops");
-        let (ref_out, _) = mc_filter_stats(
-            &nl,
-            &pairs,
-            &FilterConfig {
-                tape: false,
-                ..FilterConfig::default()
-            },
-        );
-        assert_eq!(out, ref_out);
-    }
-
-    #[test]
-    fn fused_tier_reports_fused_ops() {
-        let nl = mixed();
-        let pairs = nl.connected_ff_pairs();
-        let (_, stats) = mc_filter_stats(&nl, &pairs, &cfg_with_kernel(SimKernel::Fused));
-        assert_eq!(stats.kernel, "fused");
-        assert!(stats.passes > 0);
-        assert_eq!(stats.jit_compiles, 0);
-        assert_eq!(stats.tape_ops, 0);
-    }
-
-    #[test]
-    fn no_jit_env_and_no_tape_flow_through_effective_kernel() {
-        // effective_kernel folds `tape: false` into Reference.
-        let cfg = FilterConfig {
-            tape: false,
-            kernel: SimKernel::Jit,
-            ..FilterConfig::default()
-        };
-        assert_eq!(cfg.effective_kernel(), SimKernel::Reference);
-        let cfg = FilterConfig {
-            tape: true,
-            kernel: SimKernel::Fused,
-            ..FilterConfig::default()
-        };
-        assert_eq!(cfg.effective_kernel(), SimKernel::Fused);
-    }
-
-    #[test]
     fn sim_kernel_parse_round_trips() {
-        for k in [
-            SimKernel::Jit,
-            SimKernel::Fused,
-            SimKernel::Tape,
-            SimKernel::Reference,
-        ] {
+        for k in [SimKernel::Fused, SimKernel::Reference] {
             assert_eq!(SimKernel::parse(k.as_str()), Some(k));
         }
-        assert_eq!(SimKernel::parse("turbo"), None);
+        assert_eq!(SimKernel::parse("jit"), None);
+        assert_eq!(SimKernel::parse("tape"), None);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Fusing/vectorizing lowering tier over the compiled [`Tape`].
+//! Fusing lowering pass over the compiled [`Tape`], and the prefilter
+//! kernel that runs its output.
 //!
 //! The tape is already a flat three-address stream of binary ops, but it
 //! still spends instructions on artifacts of gate-level decomposition:
 //! every `NOT` is a `NAND(a, a)` occupying a slot, and inverters feeding
-//! inverting gates chain two instructions where the target ISA (and the
-//! wide interpreter) can express the composition in one. [`FusedTape`]
+//! inverting gates chain two instructions where the wide interpreter can
+//! express the composition in one. [`FusedTape`]
 //! lowers the tape **once more**, at compile time:
 //!
 //! * **NOT fusion** — `NAND(a, a)` emits nothing; the inversion rides on
@@ -22,15 +23,14 @@
 //! * **Dead-slot elimination** — instructions not reachable backward
 //!   from any FF D input are dropped, and the surviving slots are
 //!   densely renumbered so `[u64; W]` batches form one straight-line,
-//!   gap-free block (the layout the JIT emitter and the
-//!   autovectorizer both want). [`FusedTape::lower_keep_all`] keeps
+//!   gap-free block (the layout the autovectorizer wants).
+//!   [`FusedTape::lower_keep_all`] keeps
 //!   every slot live instead, for per-node differential tests.
 //!
-//! [`FusedSim`] evaluates the fused stream exactly like
-//! [`TapeSim`](crate::TapeSim) evaluates the raw one; the JIT
-//! (`crate::jit`) emits native code for the same stream. Both read their
-//! FF D values through [`FusedRef`]s, whose polarity bit applies any
-//! residual output inversion at readout — never during the hot loop.
+//! [`FusedSim`] evaluates the fused stream over const-generic `[u64; W]`
+//! words, `64 × W` patterns per pass. It reads FF D values through
+//! [`FusedRef`]s, whose polarity bit applies any residual output
+//! inversion at readout — never during the hot loop.
 
 use crate::tape::{Op, SlotRef, Tape};
 
@@ -104,8 +104,7 @@ pub struct FusedTape {
     num_slots: usize,
     num_inputs: usize,
     num_ffs: usize,
-    /// SoA fused instruction stream. Crate-visible for the interpreter
-    /// and the JIT emitter.
+    /// SoA fused instruction stream. Crate-visible for the interpreter.
     pub(crate) opcode: Vec<FusedOp>,
     pub(crate) lhs: Vec<u32>,
     pub(crate) rhs: Vec<u32>,
@@ -282,8 +281,8 @@ impl FusedTape {
         self.num_slots
     }
 
-    /// Number of fused instructions — the per-pass work of the fused
-    /// interpreter and the JIT. Never more than the unfused
+    /// Number of fused instructions — the per-pass work of the kernel.
+    /// Never more than the unfused
     /// [`Tape::num_ops`]; NOT fusion and dead-slot elimination only
     /// shrink it.
     #[inline]
@@ -433,16 +432,22 @@ fn lower_bin(
     }
 }
 
-/// Wide-word interpreter over a [`FusedTape`] — the portable middle
-/// tier of the kernel ladder (JIT → fused → tape → reference), and the
-/// fallback when the JIT cannot target the host.
+/// Wide-word interpreter over a [`FusedTape`] — the prefilter kernel.
 ///
-/// Protocol and slot semantics mirror [`TapeSim`](crate::TapeSim).
+/// Each slot holds `[u64; W]`: bit `l` of word `w` is one independent
+/// simulation lane, `64 × W` lanes per pass. `W` is a compile-time
+/// constant, so the per-instruction inner loop unrolls into straight-line
+/// word ops. The state/eval/clock protocol mirrors
+/// [`ParallelSim`](crate::ParallelSim): set inputs and state,
+/// [`eval`](Self::eval), read [`next_state`](Self::next_state), then
+/// [`clock`](Self::clock) to latch.
 #[derive(Debug, Clone)]
 pub struct FusedSim<'f, const W: usize> {
     fused: &'f FusedTape,
     slots: Vec<[u64; W]>,
-    /// Clock-latch scratch; see `TapeSim::latch`.
+    /// Clock-latch scratch: D values are read out completely before any
+    /// state slot is overwritten, because a D ref may alias another
+    /// FF's state slot (e.g. `Q2.D = BUF(Q1)` chains to Q1's slot).
     latch: Vec<[u64; W]>,
 }
 
@@ -579,7 +584,7 @@ impl<'f, const W: usize> FusedSim<'f, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TapeSim;
+    use crate::ParallelSim;
     use mcp_logic::GateKind;
     use mcp_netlist::{Netlist, NetlistBuilder};
 
@@ -703,16 +708,16 @@ mod tests {
         assert_eq!(fused.num_ops(), 2, "one fused op per gate, NOT absorbed");
         assert!(fused.opcode.contains(&FusedOp::AndN));
 
-        let mut fsim = FusedSim::<2>::new(&fused);
-        let mut tsim = TapeSim::<2>::new(&tape);
-        for (s, v) in [(0usize, [0xAAu64, 0x0F]), (1, [0xCC, 0x33])] {
-            fsim.set_input(s, v);
-            tsim.set_input(s, v);
+        let mut fsim = FusedSim::<1>::new(&fused);
+        let mut psim = ParallelSim::new(&nl);
+        for (s, v) in [(0usize, 0xAAu64), (1, 0xCC)] {
+            fsim.set_input(s, [v]);
+            psim.set_input(s, v);
         }
         fsim.eval();
-        tsim.eval();
+        psim.eval();
         for ff in 0..2 {
-            assert_eq!(fsim.next_state(ff), tsim.next_state(ff), "FF {ff}");
+            assert_eq!(fsim.next_state(ff), [psim.next_state(ff)], "FF {ff}");
         }
     }
 

@@ -40,13 +40,13 @@
 //!
 //! Options: `--engine implication|sat|bdd`, `--cycles K`, `--backtracks N`,
 //! `--learn`, `--threads N`, `--scheduler steal|static`, `--no-sim`,
-//! `--sim-lanes 64|128|256|512`, `--no-tape`, `--no-self-pairs`,
-//! `--no-lint`, `--no-slice`, `--no-static-classify`, `--deny <rule>`,
-//! `--allow <rule>`, `--max-diags <n>`, `--json <path>`, `--canonical`,
-//! `--cache-dir <dir>`, `--eco <old.bench>`, `--resume <ledger>`,
-//! `--shard <I/N>`, `--shards <N>`, `--format text|json|chrome`,
-//! `--metrics`, `--trace-out <path>`, `--progress`, `--quiet`,
-//! `--compare <old> <new>`, `--threshold <pct>`.
+//! `--sim-kernel fused|reference`, `--sim-lanes 64|128|256|512`,
+//! `--no-self-pairs`, `--no-lint`, `--no-slice`, `--no-static-classify`,
+//! `--deny <rule>`, `--allow <rule>`, `--max-diags <n>`, `--json <path>`,
+//! `--canonical`, `--cache-dir <dir>`, `--eco <old.bench>`,
+//! `--resume <ledger>`, `--shard <I/N>`, `--shards <N>`,
+//! `--format text|json|chrome`, `--metrics`, `--trace-out <path>`,
+//! `--progress`, `--quiet`, `--compare <old> <new>`, `--threshold <pct>`.
 
 mod analyze;
 mod cache;
@@ -82,21 +82,13 @@ pub struct Command {
     pub scheduler: Scheduler,
     /// Disable the random-simulation prefilter.
     pub no_sim: bool,
-    /// Simulation lane width of the prefilter's compiled kernel
-    /// (64, 128, 256 or 512); `None` keeps the default (256, or the
-    /// `MCPATH_SIM_LANES` env var).
+    /// Simulation lane width of the prefilter's fused kernel
+    /// (64, 128, 256 or 512); `None` keeps the default (256).
     pub sim_lanes: Option<u32>,
-    /// Run the prefilter on the graph-walking reference simulator
-    /// instead of the compiled tape kernel (A/B escape hatch; the
-    /// outcome is byte-identical).
-    pub no_tape: bool,
-    /// Which prefilter kernel tier to run (`--sim-kernel
-    /// jit|fused|tape|reference`); `None` keeps the default ladder
-    /// (jit, or fused under `MCPATH_NO_JIT`). Verdict-neutral.
+    /// Which prefilter kernel to run (`--sim-kernel fused|reference`);
+    /// `None` keeps the default (fused). Verdict-neutral: the reference
+    /// kernel is the A/B oracle, with a byte-identical outcome.
     pub sim_kernel: Option<SimKernel>,
-    /// Never emit native code: downgrade the jit tier to the fused
-    /// interpreter (`--no-jit`; same effect as `MCPATH_NO_JIT`).
-    pub no_jit: bool,
     /// Exclude self pairs.
     pub no_self_pairs: bool,
     /// Skip the pre-analysis structural lint gate.
@@ -287,14 +279,9 @@ OPTIONS:
   --no-sim                       skip the random-simulation prefilter
   --sim-lanes 64|128|256|512     prefilter patterns per pass (default: 256);
                                  the outcome is identical at every width
-  --no-tape                      prefilter on the graph-walking reference
-                                 simulator instead of the compiled kernel
-  --sim-kernel jit|fused|tape|reference
-                                 prefilter kernel tier (default: jit, with
-                                 automatic fallback on non-x86-64 hosts);
-                                 the outcome is identical in every tier
-  --no-jit                       never emit native code: run the jit tier
-                                 as the fused interpreter (MCPATH_NO_JIT)
+  --sim-kernel fused|reference   prefilter kernel (default: fused); the
+                                 graph-walking reference simulator is its
+                                 oracle, with an identical outcome
   --max-bytes <N>                byte budget for `cache gc` (entries are
                                  evicted least-recently-touched first)
   --no-self-pairs                exclude (FFi, FFi) pairs ([9]'s convention)
@@ -355,9 +342,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
     let mut scheduler = Scheduler::default();
     let mut no_sim = false;
     let mut sim_lanes: Option<u32> = None;
-    let mut no_tape = false;
     let mut sim_kernel: Option<SimKernel> = None;
-    let mut no_jit = false;
     let mut max_bytes: Option<u64> = None;
     let mut no_self_pairs = false;
     let mut no_lint = false;
@@ -498,9 +483,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             "--sim-kernel" => {
                 let v = take_value(&mut args, "--sim-kernel")?;
                 sim_kernel = Some(SimKernel::parse(&v).ok_or_else(|| {
-                    ParseCliError(format!(
-                        "unknown kernel `{v}` (expected jit|fused|tape|reference)"
-                    ))
+                    ParseCliError(format!("unknown kernel `{v}` (expected fused|reference)"))
                 })?);
             }
             "--max-bytes" => {
@@ -515,8 +498,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             "--metrics" => metrics = true,
             "--progress" => progress = true,
             "--no-sim" => no_sim = true,
-            "--no-tape" => no_tape = true,
-            "--no-jit" => no_jit = true,
             "--no-self-pairs" => no_self_pairs = true,
             "--no-lint" => no_lint = true,
             "--no-slice" => no_slice = true,
@@ -701,9 +682,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
         scheduler,
         no_sim,
         sim_lanes,
-        no_tape,
         sim_kernel,
-        no_jit,
         no_self_pairs,
         no_lint,
         no_slice,
@@ -746,25 +725,12 @@ impl Command {
         let defaults = McConfig::default();
         let mut sim = defaults.sim;
         if let Some(lanes) = self.sim_lanes {
-            // Validation happens in `analyze` (AnalyzeError::InvalidSimLanes)
-            // so env- and flag-sourced values get the same diagnostics.
+            // Validation happens in `analyze` (AnalyzeError::InvalidSimLanes),
+            // so library and CLI callers get the same diagnostics.
             sim.lanes = lanes;
         }
-        // The flag can only disable the tape; the default (normally on)
-        // also honors the MCPATH_NO_TAPE env var.
-        sim.tape = sim.tape && !self.no_tape;
-        match self.sim_kernel {
-            // `--sim-kernel reference` is the tier-ladder spelling of
-            // `--no-tape`: the reference path is selected by turning
-            // the compiled kernels off.
-            Some(SimKernel::Reference) => sim.tape = false,
-            Some(k) => sim.kernel = k,
-            None => {}
-        }
-        // `--no-jit` caps the ladder at the fused interpreter, even
-        // against an explicit `--sim-kernel jit`.
-        if self.no_jit && sim.kernel == SimKernel::Jit {
-            sim.kernel = SimKernel::Fused;
+        if let Some(kernel) = self.sim_kernel {
+            sim.kernel = kernel;
         }
         McConfig {
             sim,
@@ -833,15 +799,9 @@ impl Command {
             push("--sim-lanes");
             push(&lanes.to_string());
         }
-        if self.no_tape {
-            push("--no-tape");
-        }
         if let Some(kernel) = self.sim_kernel {
             push("--sim-kernel");
             push(kernel.as_str());
-        }
-        if self.no_jit {
-            push("--no-jit");
         }
         if self.no_self_pairs {
             push("--no-self-pairs");

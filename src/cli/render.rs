@@ -46,14 +46,10 @@ pub(crate) fn render_step_table(s: &StepStats) -> String {
         fmt_dur(s.time_static),
         "-"
     );
-    // The throughput cell names the kernel tier that produced it —
-    // words/sec across tiers (jit vs interpreter) are not comparable.
-    let sim_throughput = match s.sim_kernel {
-        Some(k) => format!(
-            "{} [{}]",
-            fmt_words_per_sec(s.sim_words, s.time_sim),
-            k.tag()
-        ),
+    // The throughput cell names the kernel that produced it — words/sec
+    // across kernels are not comparable.
+    let sim_throughput = match &s.sim_kernel {
+        Some(k) => format!("{} [{k}]", fmt_words_per_sec(s.sim_words, s.time_sim)),
         None => fmt_words_per_sec(s.sim_words, s.time_sim),
     };
     let _ = writeln!(
@@ -126,7 +122,7 @@ fn fmt_words_per_sec(words: u64, t: Duration) -> String {
 pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let c = &m.counters;
-    let rows: [(&str, u64); 41] = [
+    let rows: [(&str, u64); 37] = [
         ("implications", c.implications),
         ("contradictions", c.contradictions),
         ("learned_implications", c.learned_implications),
@@ -149,11 +145,7 @@ pub(crate) fn render_snapshot(m: &MetricsSnapshot) -> String {
         ("sim_words", c.sim_words),
         ("sim_pairs_dropped", c.sim_pairs_dropped),
         ("sim_passes", c.sim_passes),
-        ("sim_tape_ops", c.sim_tape_ops),
         ("sim_fused_ops", c.sim_fused_ops),
-        ("jit_compiles", c.jit_compiles),
-        ("jit_bytes", c.jit_bytes),
-        ("jit_batches", c.jit_batches),
         ("lint_rules_run", c.lint_rules_run),
         ("lint_violations", c.lint_violations),
         ("lint_nodes_visited", c.lint_nodes_visited),

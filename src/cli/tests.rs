@@ -282,59 +282,53 @@ fn no_slice_flag_reaches_the_config() {
 }
 
 #[test]
-fn sim_lanes_and_no_tape_flags_reach_the_config() {
-    let cmd = parse_args(argv("analyze f.bench --sim-lanes 128 --no-tape")).expect("parse");
+fn sim_lanes_flag_reaches_the_config() {
+    let cmd = parse_args(argv("analyze f.bench --sim-lanes 128")).expect("parse");
     assert_eq!(cmd.sim_lanes, Some(128));
-    assert!(cmd.no_tape);
-    let cfg = cmd.config();
-    assert_eq!(cfg.sim_lanes(), 128);
-    assert!(!cfg.sim.tape);
-    // Without the flags the defaults apply (256 lanes / tape on,
-    // unless MCPATH_SIM_LANES / MCPATH_NO_TAPE are set in this test
-    // environment).
+    assert_eq!(cmd.config().sim_lanes(), 128);
+    // Without the flag the default applies (256 lanes).
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
     assert_eq!(cmd.config().sim, McConfig::default().sim);
+    assert_eq!(cmd.config().sim_lanes(), 256);
     // Non-numeric widths are parse errors; missing values too.
     assert!(parse_args(argv("analyze f.bench --sim-lanes abc")).is_err());
     assert!(parse_args(argv("analyze f.bench --sim-lanes")).is_err());
 }
 
 #[test]
-fn sim_kernel_and_no_jit_flags_reach_the_config() {
+fn sim_kernel_flag_reaches_the_config() {
     use mcp_sim::SimKernel;
 
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel fused")).expect("parse");
-    assert_eq!(cmd.sim_kernel, Some(SimKernel::Fused));
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Fused);
-
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel tape")).expect("parse");
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Tape);
-
-    // `reference` is the tier-ladder spelling of `--no-tape`.
     let cmd = parse_args(argv("analyze f.bench --sim-kernel reference")).expect("parse");
-    assert!(!cmd.config().sim.tape);
+    assert_eq!(cmd.sim_kernel, Some(SimKernel::Reference));
+    assert_eq!(cmd.config().sim.kernel, SimKernel::Reference);
 
-    // `--no-jit` caps the ladder at the fused interpreter, even when
-    // jit was requested explicitly.
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel jit --no-jit")).expect("parse");
-    assert!(cmd.no_jit);
+    let cmd = parse_args(argv("analyze f.bench --sim-kernel fused")).expect("parse");
     assert_eq!(cmd.config().sim.kernel, SimKernel::Fused);
-    // ...but never touches an explicit interpreter tier.
-    let cmd = parse_args(argv("analyze f.bench --sim-kernel tape --no-jit")).expect("parse");
-    assert_eq!(cmd.config().sim.kernel, SimKernel::Tape);
 
-    // Without the flags the defaults apply (jit, unless MCPATH_NO_JIT
-    // is set in this test environment).
+    // Without the flag the default applies (fused).
     let cmd = parse_args(argv("analyze f.bench")).expect("parse");
-    assert_eq!(cmd.config().sim.kernel, McConfig::default().sim.kernel);
+    assert_eq!(cmd.config().sim.kernel, SimKernel::Fused);
 
     assert!(parse_args(argv("analyze f.bench --sim-kernel turbo")).is_err());
     assert!(parse_args(argv("analyze f.bench --sim-kernel")).is_err());
+    // The deleted kernels and their alias flags are gone.
+    for gone in [
+        "--sim-kernel jit",
+        "--sim-kernel tape",
+        "--no-jit",
+        "--no-tape",
+    ] {
+        assert!(
+            parse_args(argv(&format!("analyze f.bench {gone}"))).is_err(),
+            "{gone} must be rejected"
+        );
+    }
 
-    // The kernel tier is verdict-neutral: it must not move the config
+    // The kernel is verdict-neutral: it must not move the config
     // fingerprint (or the warm cache would go cold on an A/B flag).
     let base = parse_args(argv("analyze f.bench")).expect("parse");
-    for alt in ["--sim-kernel fused", "--sim-kernel tape", "--no-jit"] {
+    for alt in ["--sim-kernel fused", "--sim-kernel reference"] {
         let cmd = parse_args(argv(&format!("analyze f.bench {alt}"))).expect("parse");
         assert_eq!(
             cmd.config().fingerprint(),
@@ -347,7 +341,7 @@ fn sim_kernel_and_no_jit_flags_reach_the_config() {
 #[test]
 fn unsupported_lane_width_is_a_clean_analyze_error() {
     // 96 parses as a number; `analyze` rejects it (the same check
-    // covers MCPATH_SIM_LANES, so the CLI does not pre-validate).
+    // covers library callers, so the CLI does not pre-validate).
     let dir = std::env::temp_dir().join("mcpath-cli-test-lanes");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let bench_path = dir.join("m27.bench");
@@ -398,9 +392,9 @@ fn metrics_trace_and_stats_round_trip() {
     assert!(out.contains("per-step resolution"), "{out}");
     assert!(out.contains("throughput"), "{out}");
     assert!(out.contains("sim_words_per_sec"), "{out}");
-    // The throughput attribution names the kernel tier that ran (the
-    // exact tag is host-dependent: jit-avx2, jit-scalar or fused).
+    // The throughput attribution names the kernel that ran.
     assert!(out.contains("sim_kernels"), "{out}");
+    assert!(out.contains("[fused]"), "{out}");
 
     // `stats` on the NDJSON journal aggregates the per-pair events.
     let cmd = parse_args(argv(&format!("stats {}", trace.display()))).expect("parse");
@@ -419,6 +413,52 @@ fn metrics_trace_and_stats_round_trip() {
     std::fs::write(&bogus, "[1, 2, 3]").expect("write");
     let cmd = parse_args(argv(&format!("stats {}", bogus.display()))).expect("parse");
     assert!(run(&cmd).is_err());
+}
+
+#[test]
+fn reports_saved_with_a_deleted_kernel_still_load() {
+    // Reports written before the prefilter was cut to two kernels carry
+    // `"sim_kernel": "JitAvx2"` (or `Tape`, ...) and the deleted
+    // kernels' counters. `stats` and `stats --compare` must read them.
+    let dir = std::env::temp_dir().join("mcpath-cli-old-kernel");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let bench_path = dir.join("m27.bench");
+    let text = run(&parse_args(argv("gen m27")).expect("parse")).expect("gen");
+    std::fs::write(&bench_path, text).expect("write");
+    let new = dir.join("new.json");
+    let cmd = parse_args(argv(&format!(
+        "analyze {} --json {} --quiet",
+        bench_path.display(),
+        new.display()
+    )))
+    .expect("parse");
+    run(&cmd).expect("analyze");
+    let report = std::fs::read_to_string(&new).expect("read report");
+    let aged = report
+        .replace("\"sim_kernel\": \"fused\"", "\"sim_kernel\": \"JitAvx2\"")
+        .replace(
+            "\"sim_fused_ops\":",
+            "\"sim_tape_ops\": 0, \"jit_compiles\": 1, \"jit_bytes\": 640, \
+             \"jit_batches\": 6, \"sim_fused_ops\":",
+        );
+    assert!(
+        aged.contains("JitAvx2") && aged.contains("jit_batches"),
+        "{report}"
+    );
+    let old = dir.join("old.json");
+    std::fs::write(&old, aged).expect("write");
+
+    let cmd = parse_args(argv(&format!("stats {}", old.display()))).expect("parse");
+    let out = run(&cmd).expect("stats on an old report");
+    assert!(out.contains("saved report"), "{out}");
+    assert!(out.contains("[JitAvx2]"), "{out}");
+    let cmd = parse_args(argv(&format!(
+        "stats --compare {} {}",
+        old.display(),
+        new.display()
+    )))
+    .expect("parse");
+    run(&cmd).expect("compare an old report with a new one");
 }
 
 #[test]
@@ -631,8 +671,8 @@ fn parses_shard_and_merge_surfaces() {
 fn shard_children_inherit_the_fingerprint_flags() {
     let cmd = parse_args(argv(
         "analyze f.bench --shards 2 --engine sat --cycles 3 --backtracks 99 --learn \
-         --threads 4 --scheduler static --no-sim --sim-lanes 128 --no-tape \
-         --sim-kernel fused --no-jit --no-self-pairs --no-lint --no-slice \
+         --threads 4 --scheduler static --no-sim --sim-lanes 128 \
+         --sim-kernel reference --no-self-pairs --no-lint --no-slice \
          --no-static-classify",
     ))
     .expect("parse");
@@ -656,7 +696,7 @@ fn shard_children_inherit_the_fingerprint_flags() {
     assert_eq!(rebuilt.threads, cmd.threads);
     assert_eq!(rebuilt.scheduler, cmd.scheduler);
     assert_eq!(rebuilt.sim_kernel, cmd.sim_kernel);
-    assert_eq!(rebuilt.no_jit, cmd.no_jit);
+    assert_eq!(rebuilt.sim_lanes, cmd.sim_lanes);
     assert!(rebuilt.quiet);
 }
 
