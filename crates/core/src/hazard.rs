@@ -33,10 +33,10 @@
 use crate::report::McReport;
 use mcp_implication::ImpEngine;
 use mcp_logic::V3;
-use mcp_netlist::{Expanded, Netlist, NodeId};
+use mcp_netlist::{Expanded, Netlist, NodeId, XId};
 use mcp_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::time::Duration;
 
 /// Which delay-independent hazard criterion to apply.
@@ -72,14 +72,15 @@ pub struct HazardReport {
 /// is consistent (premise + MC conclusion `FFj(t+2) = FFj(t+1)` asserted,
 /// as the paper does in Fig.3), the implied two-frame values feed a
 /// glitch-path search from the source FF to the sink's D input. Any
-/// reachable scenario demotes the pair.
+/// reachable scenario demotes the pair. `robust` and `demoted` keep the
+/// report's pair order.
 pub fn check_hazards(netlist: &Netlist, report: &McReport, check: HazardCheck) -> HazardReport {
     check_hazards_with(netlist, report, check, &ObsCtx::new())
 }
 
 /// [`check_hazards`] with an explicit observability context: the check's
-/// wall-clock lands in the `hazard/check` span and the implication work
-/// it performs is flushed into the shared counters.
+/// wall-clock lands in the `hazard/check` span (timed, and traced when the
+/// context traces) and its implication work in the shared counters.
 pub fn check_hazards_with(
     netlist: &Netlist,
     report: &McReport,
@@ -87,49 +88,16 @@ pub fn check_hazards_with(
     obs: &ObsCtx,
 ) -> HazardReport {
     let span = obs.timers.span("hazard/check");
+    let _trace = obs.trace_span(|| "hazard/check".to_owned());
+    let pairs = report.multi_cycle_pairs();
     let x = Expanded::build(netlist, 2);
-    let mut eng = ImpEngine::new(&x);
-
-    let mut robust = Vec::new();
-    let mut demoted = Vec::new();
-    let mut v0 = vec![V3::X; netlist.num_nodes()];
-    let mut v1 = vec![V3::X; netlist.num_nodes()];
-
-    for (i, j) in report.multi_cycle_pairs() {
-        let mut hazardous = false;
-        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            let cp = eng.checkpoint();
-            let consistent = eng
-                .assign(x.ff_at(i, 0), a)
-                .and_then(|()| eng.assign(x.ff_at(i, 1), !a))
-                .and_then(|()| eng.assign(x.ff_at(j, 1), b))
-                // The pair satisfies the MC condition, so the sink holds:
-                .and_then(|()| eng.assign(x.ff_at(j, 2), b))
-                .and_then(|()| eng.propagate())
-                .is_ok();
-            if consistent {
-                for (id, _) in netlist.nodes() {
-                    v0[id.index()] = eng.value(x.value_of(0, id));
-                    v1[id.index()] = eng.value(x.value_of(1, id));
-                }
-                if glitch_path_exists(netlist, i, j, &v0, &v1, check) {
-                    hazardous = true;
-                }
-            }
-            eng.backtrack(cp);
-            if hazardous {
-                break;
-            }
-        }
-        if hazardous {
-            demoted.push((i, j));
-        } else {
-            robust.push((i, j));
-        }
-    }
-
-    obs.metrics.implications.add(eng.implications());
-    obs.metrics.contradictions.add(eng.contradictions());
+    let mut search = GlitchSearch::default();
+    let hazardous = for_each_scenario(&x, &pairs, obs, |k, eng| {
+        let (i, j) = pairs[k];
+        search.run(netlist, i, j, |n| eng.value(x.value_of(1, n)), check)
+    });
+    let mut flags = hazardous.into_iter();
+    let (demoted, robust) = pairs.into_iter().partition(|_| flags.next() == Some(true));
     HazardReport {
         check,
         robust,
@@ -138,10 +106,55 @@ pub fn check_hazards_with(
     }
 }
 
+/// Visits every consistent scenario of `pairs` — `FFi(t)=a, FFi(t+1)=!a`
+/// plus the MC conclusion `FFj(t+1)=FFj(t+2)=b` — with the engine holding
+/// its implied values. Pairs are grouped by source: each source transition
+/// is propagated once and each sink's half on top of it. Direct
+/// implication is confluent, so every scenario sees the values (or
+/// conflict) of a from-scratch propagation. `visit(k, eng)` returning
+/// `true` retires pair `k`; the result flags the retired pairs. The
+/// engine's work lands in `obs`'s counters.
+fn for_each_scenario(
+    x: &Expanded,
+    pairs: &[(usize, usize)],
+    obs: &ObsCtx,
+    mut visit: impl FnMut(usize, &ImpEngine) -> bool,
+) -> Vec<bool> {
+    let mut eng = ImpEngine::new(x);
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_by_key(|&k| pairs[k].0);
+    let mut retired = vec![false; pairs.len()];
+    for group in order.chunk_by(|&p, &q| pairs[p].0 == pairs[q].0) {
+        let i = pairs[group[0]].0;
+        for a in [false, true] {
+            let source = eng.checkpoint();
+            if implies(&mut eng, [(x.ff_at(i, 0), a), (x.ff_at(i, 1), !a)]) {
+                for (&k, b) in group.iter().flat_map(|k| [(k, false), (k, true)]) {
+                    let (cp, j) = (eng.checkpoint(), pairs[k].1);
+                    // The pair satisfies the MC condition, so the sink holds:
+                    if !retired[k] && implies(&mut eng, [(x.ff_at(j, 1), b), (x.ff_at(j, 2), b)]) {
+                        retired[k] = visit(k, &eng);
+                    }
+                    eng.backtrack(cp);
+                }
+            }
+            eng.backtrack(source);
+        }
+    }
+    obs.metrics.implications.add(eng.implications());
+    obs.metrics.contradictions.add(eng.contradictions());
+    retired
+}
+
+/// Asserts `literals` and propagates; `false` on a conflict.
+fn implies(eng: &mut ImpEngine, literals: [(XId, bool); 2]) -> bool {
+    let assigned = literals.iter().try_for_each(|&(id, v)| eng.assign(id, v));
+    assigned.and_then(|()| eng.propagate()).is_ok()
+}
+
 /// Searches for a potentially hazardous path from FF `i`'s output to FF
-/// `j`'s D input, given the settled node values of the cycle before
-/// (`v0`) and after (`v1`) the transition edge (indexed by
-/// [`NodeId::index`]).
+/// `j`'s D input, given the settled node values of the cycle after the
+/// transition edge (`v1`, indexed by [`NodeId::index`]).
 ///
 /// The two criteria sit on opposite sides of the exact (delay-dependent)
 /// hazard condition. An edge `f → g` is traversable when:
@@ -170,45 +183,66 @@ pub fn glitch_path_exists(
     netlist: &Netlist,
     i: usize,
     j: usize,
-    v0: &[V3],
     v1: &[V3],
     check: HazardCheck,
 ) -> bool {
-    let src = netlist.dffs()[i];
-    let dst = netlist.ff_d_input(j);
-    if src == dst {
-        // A direct wire: the source transition arrives unfiltered.
-        return true;
-    }
+    GlitchSearch::default().run(netlist, i, j, |n| v1[n.index()], check)
+}
 
-    let mut reached = vec![false; netlist.num_nodes()];
-    let mut queue = VecDeque::new();
-    reached[src.index()] = true;
-    queue.push_back(src);
+/// The glitch BFS's scratch state, reused across searches: an
+/// epoch-stamped visited set (a search clears nothing) and its queue.
+#[derive(Default)]
+struct GlitchSearch {
+    seen: Vec<u64>,
+    epoch: u64,
+    queue: VecDeque<NodeId>,
+}
 
-    while let Some(f) = queue.pop_front() {
-        for &g in netlist.fanouts(f) {
-            if !netlist.node(g).kind().is_gate() || reached[g.index()] {
-                continue;
-            }
-            if edge_traversable(netlist, f, g, v0, v1, check) {
-                if g == dst {
-                    return true;
+impl GlitchSearch {
+    /// [`glitch_path_exists`] over the settled values `v1`.
+    fn run(
+        &mut self,
+        netlist: &Netlist,
+        i: usize,
+        j: usize,
+        v1: impl Fn(NodeId) -> V3,
+        check: HazardCheck,
+    ) -> bool {
+        let src = netlist.dffs()[i];
+        let dst = netlist.ff_d_input(j);
+        if src == dst {
+            // A direct wire: the source transition arrives unfiltered.
+            return true;
+        }
+        self.seen.resize(netlist.num_nodes(), 0);
+        self.epoch += 1;
+        self.queue.clear();
+        self.seen[src.index()] = self.epoch;
+        self.queue.push_back(src);
+
+        while let Some(f) = self.queue.pop_front() {
+            for &g in netlist.fanouts(f) {
+                if !netlist.node(g).kind().is_gate() || self.seen[g.index()] == self.epoch {
+                    continue;
                 }
-                reached[g.index()] = true;
-                queue.push_back(g);
+                if edge_traversable(netlist, f, g, &v1, check) {
+                    if g == dst {
+                        return true;
+                    }
+                    self.seen[g.index()] = self.epoch;
+                    self.queue.push_back(g);
+                }
             }
         }
+        false
     }
-    false
 }
 
 fn edge_traversable(
     netlist: &Netlist,
     f: NodeId,
     g: NodeId,
-    v0: &[V3],
-    v1: &[V3],
+    v1: impl Fn(NodeId) -> V3,
     check: HazardCheck,
 ) -> bool {
     let node = netlist.node(g);
@@ -226,7 +260,7 @@ fn edge_traversable(
             node.fanins()
                 .iter()
                 .filter(|&&s| s != f)
-                .all(|&s| v1[s.index()] == V3::from(!c))
+                .all(|&s| v1(s) == V3::from(!c))
         }
         HazardCheck::CoSensitization => {
             // Pure co-sensitization (side values deliberately ignored — the
@@ -234,8 +268,7 @@ fn edge_traversable(
             // side input carries a controlling value): a gate whose settled
             // output is the controlled value must receive the controlling
             // value from the on-path edge.
-            let _ = v0;
-            !(v1[g.index()] == V3::from(controlled) && v1[f.index()] == V3::from(!c))
+            !(v1(g) == V3::from(controlled) && v1(f) == V3::from(!c))
         }
     }
 }
@@ -263,98 +296,65 @@ pub struct SensitizationDependencies {
 /// A robust pair together with the pairs its robustness depends on.
 pub type PairDependencies = ((usize, usize), Vec<(usize, usize)>);
 
-/// Computes, for every sensitization-robust multi-cycle pair, the set of
-/// other multi-cycle pairs its robustness depends on (see
+/// Computes, for every pair the sensitization check `sens` validated, the
+/// set of other multi-cycle pairs its robustness depends on (see
 /// [`SensitizationDependencies`]).
 ///
-/// For each robust pair and each consistent scenario, the glitch BFS is
-/// replayed; whenever an edge is blocked by a side input whose settled
-/// value is *provably controlling*, the FFs in that side's fan-in cone
-/// are recorded. A recorded FF `k` contributes a dependency edge to
-/// `(k, j)` when `(k, j)` is itself a multi-cycle pair of the report —
-/// exactly the "if a path from B to C is also detected as a multi-cycle
-/// path" condition of the paper.
+/// In each consistent scenario of a robust pair, a potential side input
+/// of its path cone whose settled value is *provably controlling* is a
+/// blockade, and the FFs in its fan-in cone are recorded. A recorded FF
+/// `k` contributes a dependency edge to `(k, j)` when `(k, j)` is itself a
+/// multi-cycle pair of the report — exactly the "if a path from B to C is
+/// also detected as a multi-cycle path" condition of the paper. Panics if
+/// `sens` is not a [`HazardCheck::Sensitization`] report.
 pub fn sensitization_dependencies(
     netlist: &Netlist,
     report: &McReport,
+    sens: &HazardReport,
 ) -> SensitizationDependencies {
+    assert!(matches!(sens.check, HazardCheck::Sensitization));
+    let (mc, robust) = (report.multi_cycle_pairs(), &sens.robust);
+    let sides: Vec<_> = robust.iter().map(|&p| side_inputs(netlist, p)).collect();
+    let mut blockades: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); robust.len()];
     let x = Expanded::build(netlist, 2);
-    let mut eng = ImpEngine::new(&x);
-    let mc: std::collections::HashSet<(usize, usize)> =
-        report.multi_cycle_pairs().into_iter().collect();
-    let robust = check_hazards(netlist, report, HazardCheck::Sensitization).robust;
-
-    let mut v0 = vec![V3::X; netlist.num_nodes()];
-    let mut v1 = vec![V3::X; netlist.num_nodes()];
-    let mut deps = Vec::with_capacity(robust.len());
-
-    for &(i, j) in &robust {
-        let mut blocking_ffs: Vec<usize> = Vec::new();
-        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            let cp = eng.checkpoint();
-            let consistent = eng
-                .assign(x.ff_at(i, 0), a)
-                .and_then(|()| eng.assign(x.ff_at(i, 1), !a))
-                .and_then(|()| eng.assign(x.ff_at(j, 1), b))
-                .and_then(|()| eng.assign(x.ff_at(j, 2), b))
-                .and_then(|()| eng.propagate())
-                .is_ok();
-            if consistent {
-                for (id, _) in netlist.nodes() {
-                    v0[id.index()] = eng.value(x.value_of(0, id));
-                    v1[id.index()] = eng.value(x.value_of(1, id));
-                }
-                collect_blocking_sides(netlist, i, j, &v1, &mut blocking_ffs);
-            }
-            eng.backtrack(cp);
-        }
-        blocking_ffs.sort_unstable();
-        blocking_ffs.dedup();
-        let pair_deps: Vec<(usize, usize)> = blocking_ffs
-            .into_iter()
-            .filter(|&k| k != i && mc.contains(&(k, j)))
-            .map(|k| (k, j))
-            .collect();
-        deps.push(((i, j), pair_deps));
+    for_each_scenario(&x, robust, &ObsCtx::new(), |k, eng| {
+        let settled_at = |&&(side, c): &&(NodeId, V3)| eng.value(x.value_of(1, side)) == c;
+        blockades[k].extend(sides[k].iter().filter(settled_at).map(|&(side, _)| side));
+        false
+    });
+    let fan_in_ffs = |side| netlist.cone_sources(side).0;
+    let deps = robust.iter().zip(blockades).map(|(&(i, j), sides)| {
+        let ffs: BTreeSet<usize> = sides.into_iter().flat_map(fan_in_ffs).collect();
+        let is_mc = |k: usize| mc.binary_search(&(k, j)).is_ok();
+        let pair_deps = ffs.into_iter().filter(|&k| k != i && is_mc(k));
+        ((i, j), pair_deps.map(|k| (k, j)).collect())
+    });
+    SensitizationDependencies {
+        deps: deps.collect(),
     }
-
-    SensitizationDependencies { deps }
 }
 
-/// Scans the source→sink path cone and records, for every potential side
-/// input that is provably settled at its gate's controlling value, the FFs
-/// feeding it. Conservative: every gate on *some* structural path is
-/// examined, whether or not the glitch provably reaches it — the report is
-/// a superset of the load-bearing blockades, which is the safe direction
-/// for a "these constraints interact" warning.
-fn collect_blocking_sides(netlist: &Netlist, i: usize, j: usize, v1: &[V3], out: &mut Vec<usize>) {
+/// The potential side inputs of the source→sink path cone (fanins whose
+/// gate has a controlling value and another fanin in the cone), with that
+/// value. Every gate on *some* structural path is examined, reached by the
+/// glitch or not: a superset of the load-bearing blockades, the safe
+/// direction for a "these constraints interact" warning.
+fn side_inputs(netlist: &Netlist, (i, j): (usize, usize)) -> Vec<(NodeId, V3)> {
     let cone = netlist.path_cone(i, j);
-    let mut in_cone = vec![false; netlist.num_nodes()];
-    for &n in &cone {
-        in_cone[n.index()] = true;
-    }
+    let in_cone: HashSet<NodeId> = cone.iter().copied().collect();
+    let mut out = Vec::new();
     for &g in &cone {
         let node = netlist.node(g);
-        let Some(kind) = node.kind().gate_kind() else {
-            continue;
-        };
-        let Some(c) = kind.controlling_value() else {
-            continue;
-        };
-        for (pos, &side) in node.fanins().iter().enumerate() {
-            // `side` is a potential side input iff some *other* fanin of
-            // this gate lies on a path (is in the cone).
-            let has_on_path_sibling = node
-                .fanins()
-                .iter()
-                .enumerate()
-                .any(|(k, &f)| k != pos && in_cone[f.index()]);
-            if has_on_path_sibling && v1[side.index()] == V3::from(c) {
-                let (ffs, _) = netlist.cone_sources(side);
-                out.extend(ffs);
+        if let Some(c) = node.kind().gate_kind().and_then(|k| k.controlling_value()) {
+            let on_path = node.fanins().iter().filter(|f| in_cone.contains(f)).count();
+            for &s in node.fanins() {
+                if on_path > usize::from(in_cone.contains(&s)) {
+                    out.push((s, V3::from(c)));
+                }
             }
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -426,17 +426,13 @@ mod tests {
         // the controlling value).
         let nl = circuits::fig4_fragment();
         let n = nl.num_nodes();
-        let mut v0 = vec![V3::X; n];
         let mut v1 = vec![V3::X; n];
         let qa = nl.find_node("QA").unwrap();
         let qb = nl.find_node("QB").unwrap();
         let c = nl.find_node("C").unwrap();
         // A falls 1 -> 0; B stable 0; C settled 0.
-        v0[qa.index()] = V3::One;
         v1[qa.index()] = V3::Zero;
-        v0[qb.index()] = V3::Zero;
         v1[qb.index()] = V3::Zero;
-        v0[c.index()] = V3::Zero;
         v1[c.index()] = V3::Zero;
 
         let i = nl.ff_index(qa).unwrap();
@@ -445,7 +441,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::Sensitization
         ));
@@ -453,7 +448,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::CoSensitization
         ));
@@ -463,13 +457,11 @@ mod tests {
     fn side_input_settling_noncontrolling_sensitizes() {
         let nl = circuits::fig4_fragment();
         let n = nl.num_nodes();
-        let mut v0 = vec![V3::X; n];
         let mut v1 = vec![V3::X; n];
         let qb = nl.find_node("QB").unwrap();
         // B settles at the non-controlling 1 (its first-cycle value is
         // irrelevant — the paper treats it as unknown): the A-path is
         // statically sensitizable, so both criteria flag a hazard.
-        v0[qb.index()] = V3::Zero;
         v1[qb.index()] = V3::One;
         let i = nl.ff_index(nl.find_node("QA").unwrap()).unwrap();
         let j = nl.ff_index(nl.find_node("QC").unwrap()).unwrap();
@@ -477,7 +469,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::Sensitization
         ));
@@ -485,7 +476,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::CoSensitization
         ));
@@ -545,7 +535,8 @@ mod tests {
         assert!(mc.contains(&(c1, qc)));
         assert!(!mc.contains(&(c0, qc)));
 
-        let deps = sensitization_dependencies(&nl, &report);
+        let sens = check_hazards(&nl, &report, HazardCheck::Sensitization);
+        let deps = sensitization_dependencies(&nl, &report, &sens);
         let of = |pair: (usize, usize)| -> Option<&Vec<(usize, usize)>> {
             deps.deps.iter().find(|(p, _)| *p == pair).map(|(_, d)| d)
         };
@@ -576,7 +567,8 @@ mod tests {
             },
         );
         let report = analyze(&nl, &McConfig::default()).expect("analyze");
-        let deps = sensitization_dependencies(&nl, &report);
+        let sens = check_hazards(&nl, &report, HazardCheck::Sensitization);
+        let deps = sensitization_dependencies(&nl, &report, &sens);
         for r in 0..2 {
             let s = nl
                 .ff_index(nl.find_node(&format!("PN{r}_S")).unwrap())
@@ -604,7 +596,6 @@ mod tests {
         // prove any path blocked (unknowns traverse) — the two bounds at
         // their widest.
         let nl = circuits::fig4_fragment();
-        let v0 = vec![V3::X; nl.num_nodes()];
         let v1 = vec![V3::X; nl.num_nodes()];
         let i = nl.ff_index(nl.find_node("QA").unwrap()).unwrap();
         let j = nl.ff_index(nl.find_node("QC").unwrap()).unwrap();
@@ -612,7 +603,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::Sensitization
         ));
@@ -620,7 +610,6 @@ mod tests {
             &nl,
             i,
             j,
-            &v0,
             &v1,
             HazardCheck::CoSensitization
         ));

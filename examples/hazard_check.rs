@@ -58,17 +58,13 @@ fn main() {
 
     // Fig.4: where the two criteria part ways.
     let frag = circuits::fig4_fragment();
-    let mut v0 = vec![V3::X; frag.num_nodes()];
     let mut v1 = vec![V3::X; frag.num_nodes()];
     let set = |v: &mut Vec<V3>, name: &str, val: V3| {
         v[frag.find_node(name).expect("node").index()] = val;
     };
     // A falls 1 -> 0; side input B settles at the AND's controlling 0.
-    set(&mut v0, "QA", V3::One);
     set(&mut v1, "QA", V3::Zero);
-    set(&mut v0, "QB", V3::Zero);
     set(&mut v1, "QB", V3::Zero);
-    set(&mut v0, "C", V3::Zero);
     set(&mut v1, "C", V3::Zero);
 
     let qa = frag
@@ -77,22 +73,10 @@ fn main() {
     let qc = frag
         .ff_index(frag.find_node("QC").expect("node"))
         .expect("ff");
-    let sens = mcpath::core::hazard::glitch_path_exists(
-        &frag,
-        qa,
-        qc,
-        &v0,
-        &v1,
-        HazardCheck::Sensitization,
-    );
-    let cosens = mcpath::core::hazard::glitch_path_exists(
-        &frag,
-        qa,
-        qc,
-        &v0,
-        &v1,
-        HazardCheck::CoSensitization,
-    );
+    let sens =
+        mcpath::core::hazard::glitch_path_exists(&frag, qa, qc, &v1, HazardCheck::Sensitization);
+    let cosens =
+        mcpath::core::hazard::glitch_path_exists(&frag, qa, qc, &v1, HazardCheck::CoSensitization);
     println!(
         "\nFig.4 fragment (A transitions, side input B settled controlling):\n  \
          statically sensitizable path: {sens}\n  statically co-sensitizable path: {cosens}"

@@ -49,7 +49,7 @@ fn main() {
     );
 
     let sens = check_hazards(&netlist, &report, HazardCheck::Sensitization);
-    let deps = sensitization_dependencies(&netlist, &report);
+    let deps = sensitization_dependencies(&netlist, &report, &sens);
     println!(
         "\nintermediate option: the sensitization criterion keeps {} of {} pairs,",
         sens.robust.len(),

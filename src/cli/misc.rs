@@ -4,13 +4,13 @@
 use super::render::{render_journal, render_saved_report};
 use super::{load, pair_name, Command, OutputFormat};
 use mcp_core::{
-    analyze, check_hazards, max_cycle_budgets, sensitization_dependencies, to_sdc, CycleBudget,
-    HazardCheck, McReport, SdcOptions,
+    analyze, analyze_with, check_hazards_with, max_cycle_budgets, sensitization_dependencies,
+    to_sdc, CycleBudget, HazardCheck, McReport, SdcOptions,
 };
-use mcp_netlist::bench;
+use mcp_netlist::{bench, Netlist};
 use mcp_obs::{
     chrome_trace, chrome_trace_from_totals, compare_artifacts, read_journal_file,
-    read_ledger_resilient_file, CompareConfig, MetricsSnapshot,
+    read_ledger_resilient_file, CompareConfig, MetricsSnapshot, ObsCtx,
 };
 use std::fmt::Write as _;
 
@@ -113,11 +113,28 @@ pub(crate) fn gen(name: &str, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads and analyzes `path` under the context `--trace-out` /
+/// `--progress` ask for, which the hazard checks that follow share.
+fn analyzed(cmd: &Command, path: &str) -> Result<(Netlist, McReport, ObsCtx), String> {
+    let nl = load(path)?;
+    let obs = cmd.obs()?;
+    let report = analyze_with(&nl, &cmd.config(), &obs).map_err(|e| e.to_string())?;
+    Ok((nl, report, obs))
+}
+
+/// Appends the spans traced after `analyze_with` closed its ledger (the
+/// hazard checks') to the `--trace-out` journal.
+fn close_trace(obs: &ObsCtx) {
+    for span in obs.tracer.drain() {
+        obs.sink().record_span(&span);
+    }
+    let _ = obs.sink().flush();
+}
+
 /// `hazard`: analyze, then validate the multi-cycle pairs against static
 /// hazards with both criteria.
 pub(crate) fn hazard(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
-    let nl = load(path)?;
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
+    let (nl, report, obs) = analyzed(cmd, path)?;
     let _ = writeln!(
         out,
         "{}: {} multi-cycle pairs by the MC condition",
@@ -125,7 +142,7 @@ pub(crate) fn hazard(cmd: &Command, path: &str, out: &mut String) -> Result<(), 
         report.stats.multi_total()
     );
     for check in [HazardCheck::Sensitization, HazardCheck::CoSensitization] {
-        let hz = check_hazards(&nl, &report, check);
+        let hz = check_hazards_with(&nl, &report, check, &obs);
         let _ = writeln!(
             out,
             "{check:?}: {} robust, {} potentially hazardous",
@@ -138,6 +155,7 @@ pub(crate) fn hazard(cmd: &Command, path: &str, out: &mut String) -> Result<(), 
             }
         }
     }
+    close_trace(&obs);
     Ok(())
 }
 
@@ -230,9 +248,9 @@ pub(crate) fn sdc(
     robust: Option<HazardCheck>,
     out: &mut String,
 ) -> Result<(), String> {
-    let nl = load(path)?;
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
-    let robust_only = robust.map(|check| check_hazards(&nl, &report, check));
+    let (nl, report, obs) = analyzed(cmd, path)?;
+    let robust_only = robust.map(|check| check_hazards_with(&nl, &report, check, &obs));
+    close_trace(&obs);
     let text = to_sdc(
         &nl,
         &report,
@@ -260,9 +278,10 @@ pub(crate) fn sdc(
 /// `deps`: report the cross-pair dependencies of the
 /// sensitization-validated multi-cycle pairs.
 pub(crate) fn deps(cmd: &Command, path: &str, out: &mut String) -> Result<(), String> {
-    let nl = load(path)?;
-    let report = analyze(&nl, &cmd.config()).map_err(|e| e.to_string())?;
-    let deps = sensitization_dependencies(&nl, &report);
+    let (nl, report, obs) = analyzed(cmd, path)?;
+    let sens = check_hazards_with(&nl, &report, HazardCheck::Sensitization, &obs);
+    close_trace(&obs);
+    let deps = sensitization_dependencies(&nl, &report, &sens);
     if let Some(p) = &cmd.json {
         let text = serde_json::to_string_pretty(&deps).map_err(|e| format!("serialize: {e}"))?;
         std::fs::write(p, text).map_err(|e| format!("write `{p}`: {e}"))?;

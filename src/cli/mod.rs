@@ -312,6 +312,7 @@ OPTIONS:
   --shards <N>                   analyze by forking N `shard` child
                                  processes and merging their ledgers
   --metrics                      print engine counters and span timings
+                                 (`analyze` only)
   --trace-out <path>             write the NDJSON run ledger (header, one
                                  record per pair, timestamped span tree)
   --progress                     report pair-loop progress on stderr
@@ -663,6 +664,19 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 "`--eco` cannot be combined with `--resume`, `--shard` or `--shards`".into(),
             ));
         }
+    }
+
+    // `--metrics` prints the analysis counters only `analyze` renders;
+    // dropping it silently would hide that nothing was printed.
+    if metrics
+        && matches!(
+            action,
+            Action::Hazard(_) | Action::Sdc { .. } | Action::Deps(_)
+        )
+    {
+        return Err(ParseCliError(format!(
+            "`--metrics` does not apply to `{sub}` (use --trace-out for its span journal)"
+        )));
     }
 
     // `trace` defaults to the only format it supports; everything else

@@ -1057,3 +1057,56 @@ fn serve_answers_ndjson_requests_over_the_socket() {
     let out = server.join().expect("join").expect("serve ok");
     assert!(out.contains("served 5 request(s)"), "{out}");
 }
+
+#[test]
+fn metrics_is_refused_where_nothing_would_print_it() {
+    // `--metrics` renders `analyze`'s counters; the hazard commands used
+    // to accept and drop it, so it is a usage error (exit 2) there.
+    for sub in [
+        "hazard f.bench",
+        "sdc f.bench --robust cosens",
+        "deps f.bench",
+    ] {
+        let err = parse_args(argv(&format!("{sub} --metrics"))).unwrap_err();
+        assert!(err.0.contains("`--metrics` does not apply"), "{sub}: {err}");
+    }
+    assert!(parse_args(argv("analyze f.bench --metrics")).is_ok());
+}
+
+#[test]
+fn hazard_commands_journal_the_hazard_span_to_trace_out() {
+    let dir = std::env::temp_dir().join("mcpath-cli-hazard-trace");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let bench_path = dir.join("m298.bench");
+    let text = run(&parse_args(argv("gen m298")).expect("parse")).expect("gen");
+    std::fs::write(&bench_path, text).expect("write");
+
+    for sub in [
+        "sdc {} --robust cosens",
+        "hazard {} --quiet",
+        "deps {} --quiet",
+    ] {
+        let trace = dir.join("t.ndjson");
+        let _ = std::fs::remove_file(&trace);
+        let args = sub.replace("{}", &bench_path.display().to_string());
+        let cmd =
+            parse_args(argv(&format!("{args} --trace-out {}", trace.display()))).expect("parse");
+        let untraced = run(&parse_args(argv(&args)).expect("parse")).expect("untraced run");
+        assert_eq!(
+            run(&cmd).expect("traced run"),
+            untraced,
+            "{sub}: tracing changes no output"
+        );
+
+        // The journal carries the analysis (header, verdicts, spans) and,
+        // after it, the hazard check's span.
+        let ledger = mcp_obs::read_ledger_resilient_file(&trace).expect("journal parses");
+        assert!(ledger.header.is_some(), "{sub}: run header");
+        assert!(!ledger.events.is_empty(), "{sub}: pair verdicts");
+        let spans: Vec<&str> = ledger.spans.iter().map(|s| s.span.as_str()).collect();
+        assert!(spans.contains(&"analyze"), "{sub}: {spans:?}");
+        assert!(spans.contains(&"hazard/check"), "{sub}: {spans:?}");
+        let stats = parse_args(argv(&format!("stats {}", trace.display()))).expect("parse");
+        assert!(run(&stats).expect("stats").contains("trace journal:"));
+    }
+}

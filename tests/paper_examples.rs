@@ -135,13 +135,10 @@ fn section_5_fig4_sensitization_vs_cosensitization() {
     // B settled controlling: not statically sensitizable, statically
     // co-sensitizable.
     let nl = circuits::fig4_fragment();
-    let mut v0 = vec![V3::X; nl.num_nodes()];
     let mut v1 = vec![V3::X; nl.num_nodes()];
     let qb = nl.find_node("QB").expect("node");
-    v0[qb.index()] = V3::Zero;
     v1[qb.index()] = V3::Zero;
     let c = nl.find_node("C").expect("node");
-    v0[c.index()] = V3::Zero;
     v1[c.index()] = V3::Zero;
     let qa = nl.ff_index(nl.find_node("QA").expect("node")).expect("ff");
     let qc = nl.ff_index(nl.find_node("QC").expect("node")).expect("ff");
@@ -149,7 +146,6 @@ fn section_5_fig4_sensitization_vs_cosensitization() {
         &nl,
         qa,
         qc,
-        &v0,
         &v1,
         HazardCheck::Sensitization
     ));
@@ -157,7 +153,6 @@ fn section_5_fig4_sensitization_vs_cosensitization() {
         &nl,
         qa,
         qc,
-        &v0,
         &v1,
         HazardCheck::CoSensitization
     ));
